@@ -26,11 +26,17 @@ race:
 # the harness churn mode, the quality replay, and the chaos checker) under
 # the race detector, plus a short-budget chaos pass over the whole registry
 # (scalar, batch widths, and pooled handle lifecycles), a smoke run of the
-# batch-width grid, and a self-diff smoke of the trend tool.
+# batch-width grid, and a self-diff smoke of the trend tool. The netpq
+# suite races its dispatcher/responder pair at GOMAXPROCS 1 and 2, so it
+# sees both a single-P schedule and truly parallel goroutines. The
+# perfbench module is its own Go module, which root `go test ./...` never
+# builds, so its tests run here too.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
-	$(GO) test -race ./internal/pq/ ./internal/core/ ./internal/multiq/ ./internal/skiplist/ ./internal/linden/ ./internal/spray/ ./internal/lotan/ ./internal/harness/ ./internal/quality/ ./internal/chaos/ ./internal/netpq/
+	$(GO) test -race ./internal/pq/ ./internal/core/ ./internal/multiq/ ./internal/skiplist/ ./internal/linden/ ./internal/spray/ ./internal/lotan/ ./internal/harness/ ./internal/quality/ ./internal/chaos/
+	$(GO) test -race -cpu 1,2 ./internal/netpq/
+	cd perfbench && $(GO) test ./...
 	$(GO) test -race -run TestPoolChurn .
 	$(MAKE) durable
 	$(GO) run -race ./cmd/pqverify -chaos -ops 1500

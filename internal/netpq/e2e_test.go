@@ -12,6 +12,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,6 +23,16 @@ import (
 
 func newLoopbackServer(t *testing.T, opts netpq.Options) (*netpq.Server, string) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serveOn(t, opts, ln)
+}
+
+// serveOn starts a server with the test queue constructor on ln.
+func serveOn(t *testing.T, opts netpq.Options, ln net.Listener) (*netpq.Server, string) {
+	t.Helper()
 	opts.NewQueue = func(spec, _ string, threads int) (pq.Queue, error) {
 		if threads < 16 {
 			threads = 16 // worker conns + drain conn headroom
@@ -30,10 +41,7 @@ func newLoopbackServer(t *testing.T, opts netpq.Options) (*netpq.Server, string)
 	}
 	srv, err := netpq.NewServer(opts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+		ln.Close()
 		t.Fatal(err)
 	}
 	go srv.Serve(ln)
@@ -410,4 +418,92 @@ func TestSlowConsumerEviction(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("no eviction after 15s: stats %+v", srv.Stats())
+}
+
+// readCountingListener hands out accepted conns that count the Read
+// calls that returned data, so a test can see the server's read syscalls.
+type readCountingListener struct {
+	net.Listener
+	reads *atomic.Int64
+}
+
+func (l readCountingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return readCountingConn{nc, l.reads}, nil
+}
+
+type readCountingConn struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c readCountingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+// TestServerReadsPipelinedBurst pins the server's read batching: a burst
+// of pipelined frames flushed in one client write must reach the
+// dispatcher in a handful of reads, not one or more per frame. Reading
+// the 32 frames below straight off the socket takes 80 reads (length
+// prefix, header and, for the 16 inserts, payload); through the
+// connection's read buffer the burst arrives in one read, and
+// maxBurstReads leaves slack for the kernel handing it over in pieces.
+func TestServerReadsPipelinedBurst(t *testing.T) {
+	const (
+		frames        = 32
+		batch         = 8
+		maxBurstReads = 4
+	)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reads atomic.Int64
+	_, addr := serveOn(t, netpq.Options{DefaultQueue: "multiq-s4-b8"}, readCountingListener{ln, &reads})
+	c, err := netpq.Dial(addr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// The Hello round trip is done, so its reads have all returned.
+	before := reads.Load()
+	kvs := make([]pq.KV, batch)
+	for i := 0; i < frames; i++ {
+		if i%2 == 0 {
+			for j := range kvs {
+				kvs[j] = pq.KV{Key: uint64(i*batch + j), Value: uint64(i*batch + j)}
+			}
+			_, err = c.StartInsertN(kvs)
+		} else {
+			_, err = c.StartDeleteMinN(batch)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < frames; i++ {
+		r, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Err != nil {
+			t.Fatalf("frame %d: %v", i, r.Err)
+		}
+	}
+	got := reads.Load() - before
+	if got > maxBurstReads {
+		t.Fatalf("server took %d reads for %d pipelined frames, want at most %d", got, frames, maxBurstReads)
+	}
+	t.Logf("server took %d reads for %d pipelined frames", got, frames)
 }

@@ -1,9 +1,11 @@
 package netpq
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzDecodeFrame pins the codec's safety contract: no byte sequence may
@@ -58,14 +60,31 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // FuzzReadFrame drives the streaming reader with raw bytes: it must
 // return an error or a frame for any prefix, never panic, and must never
-// accept a frame DecodeFrame rejects.
+// accept a frame DecodeFrame rejects. The same bytes are also read the
+// way the server reads them, through a read buffer of readBufLen bytes,
+// here fed one byte per read so every frame arrives split: that path must
+// yield the same frame, or the same error, as the unbuffered read.
 func FuzzReadFrame(f *testing.F) {
-	f.Add(AppendFrame(nil, Frame{Op: OpPing, Req: 9, Payload: []byte("abc")}))
+	ping := AppendFrame(nil, Frame{Op: OpPing, Req: 9, Payload: []byte("abc")})
+	f.Add(ping)
 	f.Add([]byte{0, 0, 0, 7, 1})
+	f.Add([]byte{})
+	f.Add(ping[:len(ping)-1])
+	f.Add(AppendFrame(ping, Frame{Op: OpDeleteMin, Req: 10, Count: 8}))
+	f.Add(AppendFrame(nil, Frame{Op: OpInsert, Req: 11, Count: MaxBatch, Payload: make([]byte, MaxPayload)}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fr Frame
-		if err := ReadFrame(bytes.NewReader(data), &fr); err != nil {
+		err := ReadFrame(bytes.NewReader(data), &fr)
+		var bf Frame
+		berr := ReadFrame(bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(data)), readBufLen), &bf)
+		if (err == nil) != (berr == nil) || err != nil && err.Error() != berr.Error() {
+			t.Fatalf("buffered read returns %v, unbuffered %v", berr, err)
+		}
+		if err != nil {
 			return
+		}
+		if bf.Op != fr.Op || bf.Req != fr.Req || bf.Count != fr.Count || !bytes.Equal(bf.Payload, fr.Payload) {
+			t.Fatalf("buffered read decodes %+v, unbuffered %+v", bf, fr)
 		}
 		length := binary.BigEndian.Uint32(data)
 		if _, _, err := DecodeFrame(data[:LenPrefixLen+int(length)]); err != nil {

@@ -9,7 +9,8 @@
 //     pipelined requests, so queue work and socket work overlap.
 //   - Backpressure with a defined failure mode: the queue between the two
 //     is bounded. A full queue first stalls the dispatcher (it stops
-//     reading, TCP flow control pushes back on the client — counted by
+//     reading, holding at most one read buffer of unparsed requests, and
+//     TCP flow control pushes back on the client — counted by
 //     net-write-stall); a consumer that stays stuck past StallTimeout is
 //     evicted (net-drop) instead of anchoring server memory forever.
 //
@@ -21,6 +22,7 @@
 package netpq
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -63,7 +65,8 @@ type Options struct {
 	PoolHandles int
 	// WriteQueue is the per-connection responder queue depth in frames
 	// (0 = 64). Depth bounds per-connection server memory at roughly
-	// WriteQueue · MaxFrameLen bytes in the worst case.
+	// WriteQueue · MaxFrameLen bytes in the worst case, plus one read
+	// buffer of LenPrefixLen+MaxFrameLen bytes.
 	WriteQueue int
 	// StallTimeout is how long one response may stay unqueueable before
 	// the connection is evicted (0 = 5s).
@@ -289,10 +292,16 @@ func (s *Server) CloseQueues() error {
 	return first
 }
 
+// readBufLen sizes each connection's read buffer to hold one maximal
+// frame, so any legal frame fits in it and a burst of pipelined requests
+// arrives in one read syscall.
+const readBufLen = LenPrefixLen + MaxFrameLen
+
 // conn is the per-connection state shared by dispatcher and responder.
 type conn struct {
 	s      *Server
 	nc     net.Conn
+	br     *bufio.Reader // dispatcher-owned read side of nc
 	tel    *telemetry.Shard
 	out    chan []byte // encoded response frames, dispatcher -> responder
 	free   chan []byte // recycled frame buffers, responder -> dispatcher
@@ -321,6 +330,7 @@ func (s *Server) handleConn(nc net.Conn) {
 	c := &conn{
 		s:    s,
 		nc:   nc,
+		br:   bufio.NewReaderSize(nc, readBufLen),
 		tel:  telemetry.NewShard(),
 		out:  make(chan []byte, s.opts.WriteQueue),
 		free: make(chan []byte, s.opts.WriteQueue+1),
@@ -362,7 +372,7 @@ func (c *conn) dispatch() error {
 		if c.failed.Load() {
 			return errors.New("responder failed")
 		}
-		if err := ReadFrame(c.nc, &c.in); err != nil {
+		if err := ReadFrame(c.br, &c.in); err != nil {
 			switch {
 			case errors.Is(err, ErrFrameTooSmall):
 				c.sendErr(0, ErrCodeMalformed, "length prefix below header size")
@@ -545,11 +555,12 @@ func (c *conn) enqueue(buf []byte) {
 	}
 }
 
-// respond drains the write queue onto the socket. Writes are coalesced:
-// frames are written while more are queued and the socket is flushed...
-// there is no bufio layer — instead the responder concatenates every
-// queued frame into one write buffer and issues a single Write per
-// drain round, which is the batching that matters on loopback.
+// respond drains the write queue onto the socket. The two directions
+// batch differently: the dispatcher reads through c.br, so one read
+// syscall takes in a whole burst of pipelined requests, while the
+// responder coalesces writes per drain — it concatenates every frame
+// already queued into one write buffer and issues a single Write per
+// drain round.
 func (c *conn) respond() {
 	var wbuf []byte
 	for first := range c.out {
