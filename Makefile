@@ -19,7 +19,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# CI gate: vet + build everything, then the race-sensitive packages (the
+# CI gate: gofmt, vet, build, then the race-sensitive packages (the
 # engineered MultiQueue's buffer stealing, the k-LSM's pooled hot path with
 # spy/run-buffer stealing, the packed-word skiplist substrate and its
 # lock-free queues, the handle pool with its steal path and 0-alloc gate,
@@ -32,6 +32,7 @@ race:
 # perfbench module is its own Go module, which root `go test ./...` never
 # builds, so its tests run here too.
 check:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./internal/pq/ ./internal/core/ ./internal/multiq/ ./internal/skiplist/ ./internal/linden/ ./internal/spray/ ./internal/lotan/ ./internal/harness/ ./internal/quality/ ./internal/chaos/
@@ -131,13 +132,13 @@ bench-recover:
 	$(GO) run ./cmd/pqbench -durable -recover -batch 8 -threads 1,2,4,8 \
 		-reps 5 -out BENCH_10.json
 
-# The goroutine-churn acceptance bench alone: pool vs naive lifecycle on
-# the churn acceptance queues, with abandonment, as a readable table.
+# The goroutine-churn acceptance bench: pool vs naive lifecycle on the
+# churn acceptance queues (10^5 goroutines over 8 slots, every 64th
+# abandoning its handle), next to their fixed-handle width-1 cells, as
+# JSON on stdout.
 bench-churn:
-	$(GO) run ./cmd/pqbench -churn 100000 -churn-abandon 64 -threads 8 \
-		-queues klsm4096,multiq -prefill 100000 -reps 3
-	$(GO) run ./cmd/pqbench -churn 100000 -churn-abandon 64 -threads 8 \
-		-queues klsm4096,multiq -prefill 100000 -reps 3 -churn-naive
+	$(GO) run ./cmd/pqgrid -queues klsm4096,multiq -widths 1 \
+		-churn-queues klsm4096,multiq -reps 3 -out ""
 
 # Every paper figure/table as a testing.B bench, fixed op count for speed.
 bench-quick:

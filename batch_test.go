@@ -20,7 +20,7 @@ const batchValueTag = 0x9e3779b97f4a7c15
 // transients with a settled batch cadence, plus reusable scratch buffers.
 func warmBatch(t *testing.T, name string, width int) (Handle, []KV, []KV, *rng.Xoroshiro) {
 	t.Helper()
-	q, err := New(name, 1)
+	q, err := NewQueue(name, Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestBatchScalarInterleavingOracle(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			q, err := New(name, 1)
+			q, err := NewQueue(name, Options{Threads: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,7 +208,7 @@ func FuzzBatchScalarConservation(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
 		names := Names()
 		name := names[seed%uint64(len(names))]
-		q, err := New(name, 1)
+		q, err := NewQueue(name, Options{Threads: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -74,11 +73,6 @@ func main() {
 		markdown  = flag.Bool("markdown", false, "emit a markdown table instead of plain text")
 		plot      = flag.Bool("plot", false, "also render an ASCII chart of throughput vs threads (like the paper's figures)")
 		telemF    = flag.Bool("telemetry", false, "collect queue-internals counters and latency histograms; prints one section per cell after the table (see DESIGN.md §5)")
-		churnN    = flag.Int("churn", 0, "goroutine-churn mode: spawn this many short-lived goroutines per cell through the handle pool instead of the fixed-duration grid (the -threads sweep becomes the concurrent-slot sweep)")
-		churnAb   = flag.Int("churn-abandon", 0, "churn mode: every Nth goroutine abandons its handle instead of releasing it (0 = never)")
-		churnNv   = flag.Bool("churn-naive", false, "churn mode: use the naive mutex-guarded handle list instead of the pool (baseline)")
-		churnCap  = flag.Int("churn-cap", 0, "churn mode: pool handle cap (0 = slots+64; headroom amortizes one collector cycle over many abandonments)")
-		churnBur  = flag.Int("churn-burst", 0, "churn mode: ops per short-lived goroutine (0 = the harness default, 64)")
 		durableF  = flag.Bool("durable", false, "durable mode: benchmark the WAL tier, group commit vs the fsync-per-op naive baseline, and write -out (DESIGN.md §8)")
 		durDir    = flag.String("durable-dir", "", "durable mode: log directory (default ./pqbench-durable.tmp, removed afterward)")
 		durWin    = flag.Duration("commit-window", 0, "durable mode: group-commit dally window (0 = commit cohorts as they form)")
@@ -166,12 +160,6 @@ func main() {
 				Recover: recCells,
 			})
 		}
-		return
-	}
-
-	if *churnN > 0 {
-		runChurnTable(queueNames, threads, wl, kd,
-			*churnN, *churnBur, *churnAb, *churnCap, *prefill, *reps, *seed, *churnNv, *markdown)
 		return
 	}
 
@@ -280,75 +268,6 @@ func main() {
 	}
 }
 
-// runChurnTable is the -churn mode: a slots × queue table of goroutine-
-// churn throughput (harness.RunChurn). Each cell spawns `goroutines`
-// short-lived goroutines across `slots` concurrent slots, every one
-// checking a handle out of the pool (or the naive baseline's mutex-guarded
-// list), doing a small op burst, and checking it back in; the reported
-// MOps/s includes that lifecycle cost. Handle accounting (created, steals)
-// is appended to each cell so abandonment recovery is visible in the table.
-func runChurnTable(queueNames []string, slotCounts []int,
-	wl workload.Kind, kd keys.Distribution,
-	goroutines, burst, abandonEvery, capHandles, prefill, reps int, seed uint64,
-	naive, markdown bool) {
-	lifecycle := "pool"
-	if naive {
-		lifecycle = "naive"
-	}
-	fmt.Printf("# churn goroutines=%d lifecycle=%s abandon_every=%d workload=%s keys=%s prefill=%d reps=%d\n",
-		goroutines, lifecycle, abandonEvery, wl, kd, prefill, reps)
-
-	var table cli.Table
-	head := []string{"slots"}
-	head = append(head, queueNames...)
-	table.AddRow(head...)
-	for _, slots := range slotCounts {
-		row := []string{fmt.Sprintf("%d", slots)}
-		// Headroom above the working set: a starved Acquire blocks on a
-		// collector cycle, so the cap decides how many abandonments one
-		// cycle amortizes over. slots+1 would GC per abandonment.
-		poolCap := capHandles
-		if poolCap <= 0 {
-			poolCap = slots + 64
-		}
-		for _, name := range queueNames {
-			name := name
-			var mops []float64
-			var last harness.ChurnStats
-			for rep := 0; rep < reps; rep++ {
-				last = harness.RunChurn(harness.ChurnConfig{
-					NewQueue: func(t int) pq.Queue {
-						q, err := cpq.NewQueue(name, cpq.Options{Threads: t})
-						exitOn(err)
-						return q
-					},
-					Slots:        slots,
-					Goroutines:   goroutines,
-					BurstOps:     burst,
-					Workload:     wl,
-					KeyDist:      kd,
-					Prefill:      prefill,
-					Seed:         seed + uint64(rep),
-					AbandonEvery: abandonEvery,
-					MaxHandles:   poolCap,
-					Naive:        naive,
-				})
-				mops = append(mops, last.MOps())
-			}
-			s := stats.Summarize(mops)
-			row = append(row, fmt.Sprintf("%.3f ±%.3f h=%d s=%d",
-				s.Mean, s.CI95, last.HandlesCreated, last.Steals))
-		}
-		table.AddRow(row...)
-	}
-	if markdown {
-		fmt.Print(table.Markdown())
-	} else {
-		fmt.Print(table.String())
-	}
-	fmt.Println("# cells are MOps/s mean ±95% CI; h = handles created, s = abandoned handles stolen back (last rep)")
-}
-
 // durCell is one durable-mode grid cell of the BENCH_9.json report. The
 // queue name carries the mode prefix ("dur:" group commit, "dur-naive:"
 // fsync-per-op), so pqtrend diffs durable cells across reports exactly
@@ -411,7 +330,7 @@ type durConfig struct {
 
 // writeDurReport stamps the environment fields and writes the report.
 func writeDurReport(out string, doc durReport) {
-	doc.GitSHA = gitSHA()
+	doc.GitSHA = cli.GitSHA()
 	doc.GoVersion = runtime.Version()
 	doc.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	doc.NumCPU = runtime.NumCPU()
@@ -535,8 +454,8 @@ func runDurableTable(queueNames []string, threads []int,
 					}
 					jsonCells = append(jsonCells, durCell{
 						Queue: prefix + name, BatchWidth: batch,
-						MOpsMean: round3(s.Throughput.Mean), MOpsCI95: round3(s.Throughput.CI95),
-						Ops: ops, FsyncsPerOp: round3(perOp),
+						MOpsMean: cli.Round3(s.Throughput.Mean), MOpsCI95: cli.Round3(s.Throughput.CI95),
+						Ops: ops, FsyncsPerOp: cli.Round3(perOp),
 						WALRecords: st.Records, WALFsyncs: st.Fsyncs,
 						Snapshots: st.Snapshots,
 					})
@@ -636,8 +555,8 @@ func runRecoverTable(queueNames []string, ages []int, items, reps int,
 			row = append(row, fmt.Sprintf("%.3f ±%.3f", s.Mean, s.CI95))
 			cells = append(cells, recCell{
 				Queue: "rec:" + name, SnapshotAge: age, Items: total,
-				MItemsMean: round3(s.Mean), MItemsCI95: round3(s.CI95),
-				MillisMean: round3(millis / float64(reps)),
+				MItemsMean: cli.Round3(s.Mean), MItemsCI95: cli.Round3(s.CI95),
+				MillisMean: cli.Round3(millis / float64(reps)),
 			})
 		}
 		table.AddRow(row...)
@@ -713,18 +632,6 @@ func openRecStore(sub string, cfg durConfig) kv.Store {
 	s, err := kv.OpenFile(sub)
 	exitOn(err)
 	return s
-}
-
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
-}
-
-func round3(x float64) float64 {
-	return float64(int64(x*1000+0.5)) / 1000
 }
 
 // flagSet reports whether the named flag was explicitly provided.

@@ -32,9 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
-	"strings"
 	"time"
 
 	"cpq"
@@ -176,7 +174,7 @@ func main() {
 	}
 
 	rep := report{
-		GitSHA:     gitSHA(),
+		GitSHA:     cli.GitSHA(),
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
@@ -198,8 +196,8 @@ func main() {
 			}
 			rep.Cells = append(rep.Cells, cellResult{
 				Queue: name, BatchWidth: w,
-				MOpsMean: round3(s.Mean), MOpsCI95: round3(s.CI95),
-				AllocsPerOp: round3(a), Ops: ops[k],
+				MOpsMean: cli.Round3(s.Mean), MOpsCI95: cli.Round3(s.CI95),
+				AllocsPerOp: cli.Round3(a), Ops: ops[k],
 			})
 			if w == 1 {
 				base[name] = s.Mean
@@ -216,7 +214,7 @@ func main() {
 				rep.Speedup[c.Queue] = map[string]float64{}
 			}
 			rep.Speedup[c.Queue][fmt.Sprintf("w%d", c.BatchWidth)] =
-				round3(c.MOpsMean / base[c.Queue])
+				cli.Round3(c.MOpsMean / base[c.Queue])
 		}
 	}
 
@@ -341,30 +339,16 @@ func runChurnCells(p churnParams, base map[string]float64) []churnCell {
 			c := churnCell{
 				Queue: name, Lifecycle: lc,
 				Goroutines: p.goroutines, BurstOps: p.burst, AbandonEvery: p.abandon,
-				MOpsMean: round3(s.Mean), MOpsCI95: round3(s.CI95),
+				MOpsMean: cli.Round3(s.Mean), MOpsCI95: cli.Round3(s.CI95),
 				HandlesCreated: st.HandlesCreated, PeakLive: st.PeakLive, Steals: st.Steals,
 			}
 			if b := base[name]; b > 0 {
-				c.VsFixedW1 = round3(s.Mean / b)
+				c.VsFixedW1 = cli.Round3(s.Mean / b)
 			}
 			cells = append(cells, c)
 		}
 	}
 	return cells
-}
-
-// gitSHA best-effort resolves the working tree's commit; "unknown" outside
-// a git checkout.
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
-}
-
-func round3(x float64) float64 {
-	return float64(int64(x*1000+0.5)) / 1000
 }
 
 func exitOn(err error) {

@@ -31,11 +31,9 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"os/exec"
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -174,7 +172,7 @@ func main() {
 	}
 
 	doc := report{
-		GitSHA:     gitSHA(),
+		GitSHA:     cli.GitSHA(),
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
@@ -202,10 +200,10 @@ func main() {
 		p50, p99 := percentiles(rtts[spec])
 		doc.Cells = append(doc.Cells, cellResult{
 			Queue: "net:" + spec, BatchWidth: *batch,
-			MOpsMean: round3(s.Mean), MOpsCI95: round3(s.CI95),
-			AllocsPerOp: round3(a), Ops: ops[spec],
+			MOpsMean: cli.Round3(s.Mean), MOpsCI95: cli.Round3(s.CI95),
+			AllocsPerOp: cli.Round3(a), Ops: ops[spec],
 			Conns: *conns, Pipeline: *pipeline,
-			RTTp50us: round3(p50), RTTp99us: round3(p99),
+			RTTp50us: cli.Round3(p50), RTTp99us: cli.Round3(p99),
 		})
 		total += ops[spec]
 	}
@@ -406,18 +404,6 @@ func percentiles(xs []float64) (p50, p99 float64) {
 		return xs[i]
 	}
 	return at(0.50), at(0.99)
-}
-
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
-}
-
-func round3(x float64) float64 {
-	return float64(int64(x*1000+0.5)) / 1000
 }
 
 func exitOn(err error) {

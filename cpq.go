@@ -38,8 +38,7 @@
 // The registry (NewQueue, Names) maps the paper's benchmark identifiers
 // ("klsm128", "linden", "spray", "multiq", "globallock", ...) to factories,
 // parameterized by an Options struct (intended thread count, per-structure
-// tuning). Unknown identifiers are reported as *UnknownQueueError. The
-// two-argument New(name, threads) form is deprecated in favor of NewQueue.
+// tuning). Unknown identifiers are reported as *UnknownQueueError.
 package cpq
 
 import (
@@ -364,16 +363,6 @@ func newBase(name string, opts Options) (Queue, error) {
 		return NewMultiQueue(c, threads), nil
 	}
 	return nil, &UnknownQueueError{Name: name, Known: Names()}
-}
-
-// New constructs a queue by its benchmark identifier for the given intended
-// thread count.
-//
-// Deprecated: use NewQueue, which takes an Options struct and leaves room
-// for per-structure tuning. New(name, threads) is exactly
-// NewQueue(name, Options{Threads: threads}).
-func New(name string, threads int) (Queue, error) {
-	return NewQueue(name, Options{Threads: threads})
 }
 
 // Flush publishes any operations buffered in h so that every item the

@@ -10,9 +10,9 @@ import (
 
 func TestRegistryKnowsAllNames(t *testing.T) {
 	for _, name := range Names() {
-		q, err := New(name, 4)
+		q, err := NewQueue(name, Options{Threads: 4})
 		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
+			t.Fatalf("NewQueue(%q): %v", name, err)
 		}
 		if q.Name() == "" {
 			t.Fatalf("queue %q has empty Name()", name)
@@ -24,34 +24,34 @@ func TestRegistryNameMatchesIdentifier(t *testing.T) {
 	// For the paper's seven variants, the constructed queue must report
 	// exactly the identifier used in the figures.
 	for _, name := range PaperNames() {
-		q, err := New(name, 8)
+		q, err := NewQueue(name, Options{Threads: 8})
 		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
+			t.Fatalf("NewQueue(%q): %v", name, err)
 		}
 		if q.Name() != name {
-			t.Fatalf("New(%q).Name() = %q", name, q.Name())
+			t.Fatalf("NewQueue(%q).Name() = %q", name, q.Name())
 		}
 	}
 }
 
 func TestRegistryParameterized(t *testing.T) {
-	q, err := New("klsm64", 2)
+	q, err := NewQueue("klsm64", Options{Threads: 2})
 	if err != nil || q.Name() != "klsm64" {
 		t.Fatalf("klsm64: %v, %v", q, err)
 	}
-	if _, err := New("klsmX", 2); err == nil {
+	if _, err := NewQueue("klsmX", Options{Threads: 2}); err == nil {
 		t.Fatal("bad klsm spec accepted")
 	}
-	if _, err := New("slsm0", 2); err == nil {
+	if _, err := NewQueue("slsm0", Options{Threads: 2}); err == nil {
 		t.Fatal("slsm0 accepted")
 	}
-	if _, err := New("nope", 2); err == nil {
+	if _, err := NewQueue("nope", Options{Threads: 2}); err == nil {
 		t.Fatal("unknown queue accepted")
 	}
-	if q, err := New("multiq2", 3); err != nil || q.Name() != "multiq" {
+	if q, err := NewQueue("multiq2", Options{Threads: 3}); err != nil || q.Name() != "multiq" {
 		t.Fatalf("multiq2: %v, %v", q, err)
 	}
-	if q, err := New(" LINDEN ", 0); err != nil || q.Name() != "linden" {
+	if q, err := NewQueue(" LINDEN ", Options{Threads: 0}); err != nil || q.Name() != "linden" {
 		t.Fatalf("case/space-insensitive parse failed: %v", err)
 	}
 }
@@ -76,7 +76,7 @@ func TestEveryQueueBasicContract(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			q, err := New(name, 2)
+			q, err := NewQueue(name, Options{Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +129,7 @@ func TestEveryQueueConcurrentSmoke(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			const workers = 4
-			q, err := New(name, workers)
+			q, err := NewQueue(name, Options{Threads: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,22 +188,22 @@ func TestEveryQueueConcurrentSmoke(t *testing.T) {
 }
 
 func TestRegistryEngineeredMultiQueue(t *testing.T) {
-	q, err := New("multiq-s4-b8", 4)
+	q, err := NewQueue("multiq-s4-b8", Options{Threads: 4})
 	if err != nil || q.Name() != "multiq-s4-b8" {
 		t.Fatalf("multiq-s4-b8: %v, %v", q, err)
 	}
-	q, err = New("multiq-c8-s2-b4", 2)
+	q, err = NewQueue("multiq-c8-s2-b4", Options{Threads: 2})
 	if err != nil || q.Name() != "multiq-c8-s2-b4" {
 		t.Fatalf("multiq-c8-s2-b4: %v, %v", q, err)
 	}
 	// Partial specs default the omitted parameters (c=4, s=1, b=1).
-	q, err = New("multiq-b8", 1)
+	q, err = NewQueue("multiq-b8", Options{Threads: 1})
 	if err != nil || q.Name() != "multiq-s1-b8" {
 		t.Fatalf("multiq-b8: %v, %v", q, err)
 	}
 	for _, bad := range []string{"multiq-", "multiq-x4", "multiq-s0", "multiq-s", "multiq-s4-b8-z1"} {
-		if _, err := New(bad, 1); err == nil {
-			t.Fatalf("New(%q) accepted a bad engineered spec", bad)
+		if _, err := NewQueue(bad, Options{Threads: 1}); err == nil {
+			t.Fatalf("NewQueue(%q) accepted a bad engineered spec", bad)
 		}
 	}
 }
@@ -211,8 +211,8 @@ func TestRegistryEngineeredMultiQueue(t *testing.T) {
 // TestEngineeredMatchesSeedSemantics drains engineered and seed MultiQueues
 // loaded with the same items: both must return the same multiset.
 func TestEngineeredMatchesSeedSemantics(t *testing.T) {
-	seedQ, _ := New("multiq", 2)
-	engQ, _ := New("multiq-s4-b8", 2)
+	seedQ, _ := NewQueue("multiq", Options{Threads: 2})
+	engQ, _ := NewQueue("multiq-s4-b8", Options{Threads: 2})
 	r := rng.New(99)
 	var keys []uint64
 	for i := 0; i < 3000; i++ {

@@ -20,7 +20,7 @@ func ExampleNewKLSM() {
 }
 
 // Queues can be constructed from their benchmark identifiers.
-func ExampleNew() {
+func ExampleNewQueue() {
 	q, err := cpq.NewQueue("multiq", cpq.Options{Threads: 4})
 	if err != nil {
 		panic(err)

@@ -33,7 +33,7 @@ func TestHarnessMatrix(t *testing.T) {
 				t.Run(name+"/"+wl.String()+"/"+kd.String(), func(t *testing.T) {
 					res := harness.Run(harness.Config{
 						NewQueue: func(p int) pq.Queue {
-							q, err := New(name, p)
+							q, err := NewQueue(name, Options{Threads: p})
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -76,7 +76,7 @@ func TestQualityMatrix(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			res := quality.Run(quality.Config{
 				NewQueue: func(p int) pq.Queue {
-					q, err := New(name, p)
+					q, err := NewQueue(name, Options{Threads: p})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -141,7 +141,7 @@ func TestStrictPerWorkerMonotoneDrain(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			const n = 30000
-			q, err := New(name, 4)
+			q, err := NewQueue(name, Options{Threads: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

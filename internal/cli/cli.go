@@ -1,6 +1,7 @@
-// Package cli holds the pieces shared by the pqbench, pqquality and pqrepro
-// command-line tools: the mapping from the paper's figure/table identifiers
-// to benchmark cells, thread-list parsing and plain-text table rendering.
+// Package cli holds the pieces shared by the command-line tools: the
+// mapping from the paper's figure/table identifiers to benchmark cells,
+// thread-list parsing, plain-text table rendering and BENCH report
+// stamping.
 package cli
 
 import (

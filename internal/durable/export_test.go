@@ -1,7 +1,5 @@
 package durable
 
-import "cpq/internal/pq"
-
 // SetCrashHook installs fn in the WAL's worst crash window: after the
 // pending buffer has been written to the store, before it is fsynced.
 // Crash-capture tests clone the store there to model a process that died
@@ -17,16 +15,6 @@ func (q *Queue) SetCrashHook(fn func()) { q.w.crashHook = fn }
 // operations run; snapshots are serialized, so the hook never runs
 // concurrently with itself.
 func (q *Queue) SetSnapHook(fn func(SnapPhase)) { q.snapHook = fn }
-
-// EncodeLegacySnapshot builds a v1 monolithic snapshot blob, and
-// LegacySnapKey its "snap/%016x" store key. Migration tests fabricate
-// pre-manifest stores with these to prove the reader still recovers
-// them.
-func EncodeLegacySnapshot(nextSeg uint64, items []pq.KV) []byte {
-	return encodeSnapshot(nextSeg, items)
-}
-
-func LegacySnapKey(i uint64) string { return snapKey(i) }
 
 // DrainSnapshots blocks until every background snapshot spawned so far
 // has finished. Call only after operations have stopped (a WaitGroup

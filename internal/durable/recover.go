@@ -115,21 +115,30 @@ func decodePart(data []byte, wantCount uint64, counts map[pq.KV]int) error {
 }
 
 // replayStore reconstructs the live set from a store: the newest
-// committed snapshot base (manifest + chunked part, or a legacy
-// monolithic snapshot from the seal-and-drain era), then every WAL
+// committed snapshot base (manifest + chunked part), then every WAL
 // segment at or above the base's nextSeg, in order. A torn final record
 // is tolerated only at the very end of the newest segment — the one spot
 // a crash between Append and Sync can legally leave one. The operation
 // it belonged to was never acknowledged, so dropping it is correct.
 //
 // nextSnap is claimed past every snapshot index that exists in any form
-// — committed manifests, orphan parts from attempts that died before
-// their manifest, and legacy snapshots — so a fresh snapshot never
-// appends onto a torn orphan.
+// — committed manifests and orphan parts from attempts that died before
+// their manifest — so a fresh snapshot never appends onto a torn orphan.
+//
+// A "snap/" key is the v1 monolithic snapshot format, which this
+// package no longer reads. Recovering around it would silently drop
+// the items it holds, so the store is refused instead.
 func replayStore(store kv.Store) (recoveredState, error) {
 	var st recoveredState
 	counts := make(map[pq.KV]int)
 
+	snaps, err := store.List("snap/")
+	if err != nil {
+		return st, err
+	}
+	if len(snaps) > 0 {
+		return st, fmt.Errorf("%w: %s: v1 snapshot format no longer supported", ErrCorrupt, snaps[0])
+	}
 	manifests, err := store.List("manifest/")
 	if err != nil {
 		return st, err
@@ -138,13 +147,9 @@ func replayStore(store kv.Store) (recoveredState, error) {
 	if err != nil {
 		return st, err
 	}
-	snaps, err := store.List("snap/")
-	if err != nil {
-		return st, err
-	}
-	for _, keys := range [][]string{manifests, parts, snaps} {
+	for _, keys := range [][]string{manifests, parts} {
 		for _, k := range keys {
-			for _, pfx := range []string{"manifest/", "part/", "snap/"} {
+			for _, pfx := range []string{"manifest/", "part/"} {
 				if i, ok := parseIndexed(k, pfx); ok && i >= st.nextSnap {
 					st.nextSnap = i + 1
 				}
@@ -152,12 +157,8 @@ func replayStore(store kv.Store) (recoveredState, error) {
 		}
 	}
 
-	// Newest committed manifest wins; manifests always carry higher
-	// indices than any legacy snapshot in the same store (indices are
-	// claimed past everything seen at recovery), so this precedence also
-	// orders the two formats correctly during migration.
-	loaded := false
-	for i := len(manifests) - 1; i >= 0 && !loaded; i-- {
+	// Newest committed manifest wins.
+	for i := len(manifests) - 1; i >= 0; i-- {
 		idx, ok := parseIndexed(manifests[i], "manifest/")
 		if !ok {
 			continue
@@ -186,30 +187,7 @@ func replayStore(store kv.Store) (recoveredState, error) {
 			return st, fmt.Errorf("part %s: %w", partKey(idx), err)
 		}
 		st.nextSeg = nextSeg
-		loaded = true
-	}
-	// Migration: no committed manifest, fall back to the newest legacy
-	// monolithic snapshot.
-	for i := len(snaps) - 1; i >= 0 && !loaded; i-- {
-		if _, ok := parseIndexed(snaps[i], "snap/"); !ok {
-			continue
-		}
-		data, found, err := store.Get(snaps[i])
-		if err != nil {
-			return st, err
-		}
-		if !found {
-			continue
-		}
-		nextSeg, items, err := decodeSnapshot(data)
-		if err != nil {
-			return st, fmt.Errorf("snapshot %s: %w", snaps[i], err)
-		}
-		for _, it := range items {
-			counts[it]++
-		}
-		st.nextSeg = nextSeg
-		loaded = true
+		break
 	}
 
 	// The base multiset — the live set as of nextSeg — seeds the

@@ -42,9 +42,7 @@ import (
 // Recovery trusts a part only through its manifest: an orphan part
 // (crash before the manifest landed) is garbage, never read and never
 // appended to (snapshot indices are claimed past every orphan), and is
-// swept by the next successful snapshot's truncate. The legacy
-// monolithic "snap/%016x" format from the seal-and-drain era is still
-// read for migration but never written.
+// swept by the next successful snapshot's truncate.
 
 // SnapPhase identifies a phase boundary of the concurrent snapshot;
 // crash-capture tests clone the store at each to prove recovery works
@@ -71,7 +69,6 @@ const (
 // group commits on the same store, large enough to amortize framing.
 const snapChunkItems = 1024
 
-func snapKey(i uint64) string     { return fmt.Sprintf("snap/%016x", i) }
 func partKey(i uint64) string     { return fmt.Sprintf("part/%016x", i) }
 func manifestKey(i uint64) string { return fmt.Sprintf("manifest/%016x", i) }
 
@@ -197,9 +194,9 @@ func (q *Queue) takeSnapshot() {
 
 	// Truncate everything the committed snapshot supersedes: WAL segments
 	// below the cut, older manifests and parts (including orphans from
-	// failed attempts), and any legacy monolithic snapshots.
+	// failed attempts).
 	err = q.store.Update(func(tx kv.Tx) error {
-		for _, pfx := range []string{"wal/", "manifest/", "part/", "snap/"} {
+		for _, pfx := range []string{"wal/", "manifest/", "part/"} {
 			keys, err := tx.List(pfx)
 			if err != nil {
 				return err
@@ -207,9 +204,6 @@ func (q *Queue) takeSnapshot() {
 			bound := snapIdx
 			if pfx == "wal/" {
 				bound = cut
-			}
-			if pfx == "snap/" {
-				bound = ^uint64(0) // legacy format: always superseded
 			}
 			for _, k := range keys {
 				if i, ok := parseIndexed(k, pfx); ok && i < bound {
@@ -244,43 +238,4 @@ func (q *Queue) poison(err error) {
 		q.w.err = err
 	}
 	q.w.mu.Unlock()
-}
-
-// --- Legacy monolithic snapshot format (read-only, migration) ---------
-
-// encodeSnapshot is the seal-and-drain era's monolithic format, stored
-// at "snap/%016x": u64 nextSeg, u32 count, count pairs, u32 CRC. Kept so
-// stores written by earlier versions still recover (and so tests can
-// fabricate them); never written by the live snapshot path.
-func encodeSnapshot(nextSeg uint64, items []pq.KV) []byte {
-	buf := make([]byte, 0, 8+4+len(items)*16+4)
-	buf = binary.BigEndian.AppendUint64(buf, nextSeg)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(items)))
-	for _, it := range items {
-		buf = binary.BigEndian.AppendUint64(buf, it.Key)
-		buf = binary.BigEndian.AppendUint64(buf, it.Value)
-	}
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-}
-
-func decodeSnapshot(data []byte) (nextSeg uint64, items []pq.KV, err error) {
-	if len(data) < 8+4+4 {
-		return 0, nil, fmt.Errorf("%w: snapshot too short (%d bytes)", ErrCorrupt, len(data))
-	}
-	body, crc := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, crcTable) != crc {
-		return 0, nil, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
-	}
-	nextSeg = binary.BigEndian.Uint64(body)
-	count := int(binary.BigEndian.Uint32(body[8:]))
-	if len(body) != 8+4+count*16 {
-		return 0, nil, fmt.Errorf("%w: snapshot count %d disagrees with length %d",
-			ErrCorrupt, count, len(data))
-	}
-	items = make([]pq.KV, count)
-	for i := range items {
-		p := body[8+4+i*16:]
-		items[i] = pq.KV{Key: binary.BigEndian.Uint64(p), Value: binary.BigEndian.Uint64(p[8:])}
-	}
-	return nextSeg, items, nil
 }

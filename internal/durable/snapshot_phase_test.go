@@ -1,7 +1,9 @@
 package durable_test
 
 import (
-	"sort"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"strings"
 	"sync"
 	"testing"
@@ -140,7 +142,7 @@ func TestSnapshotDoesNotStallProducers(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 2000; i++ {
-			h.Insert(uint64(1_000_000 + i), uint64(i))
+			h.Insert(uint64(1_000_000+i), uint64(i))
 		}
 	}()
 	select {
@@ -155,92 +157,32 @@ func TestSnapshotDoesNotStallProducers(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotMigration recovers a store written by the v1
-// monolithic snapshot layout (a single "snap/NNN" blob, no manifest):
-// the reader must seed from it, and the next snapshot must rewrite the
-// store into the manifest/part layout and delete every legacy key.
-func TestLegacySnapshotMigration(t *testing.T) {
-	want := []pq.KV{{Key: 3, Value: 30}, {Key: 7, Value: 70}, {Key: 11, Value: 110}}
+// TestLegacySnapshotRefused writes a well-formed blob of the retired v1
+// monolithic snapshot format (u64 nextSeg, u32 count, count pairs, u32
+// CRC-32/IEEE) into a store. Recovery must refuse that store with
+// ErrCorrupt rather than replay around the key and silently drop the
+// item it holds.
+func TestLegacySnapshotRefused(t *testing.T) {
+	blob := binary.BigEndian.AppendUint64(nil, 0)  // nextSeg
+	blob = binary.BigEndian.AppendUint32(blob, 1)  // count
+	blob = binary.BigEndian.AppendUint64(blob, 7)  // key
+	blob = binary.BigEndian.AppendUint64(blob, 70) // value
+	blob = binary.BigEndian.AppendUint32(blob, crc32.ChecksumIEEE(blob))
+	const key = "snap/0000000000000000"
 	store := kv.NewInmem()
 	err := store.Update(func(tx kv.Tx) error {
-		tx.Set(durable.LegacySnapKey(0), durable.EncodeLegacySnapshot(0, want))
+		tx.Set(key, blob)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	q, err := durable.Wrap(newInner(t, "klsm128"), durable.Options{Store: store})
-	if err != nil {
-		t.Fatalf("Wrap over legacy store: %v", err)
+	if err == nil {
+		q.Close()
+		t.Fatal("Wrap recovered a store holding a v1 snap/ key")
 	}
-	h := q.Handle()
-	var got []pq.KV
-	for {
-		k, v, ok := h.DeleteMin()
-		if !ok {
-			break
-		}
-		got = append(got, pq.KV{Key: k, Value: v})
-	}
-	sort.Slice(got, func(i, j int) bool { return got[i].Key < got[j].Key })
-	if len(got) != len(want) {
-		t.Fatalf("recovered %d items from legacy snapshot, want %d: %v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("item %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-
-	// Re-insert so the upgrade snapshot has content, then snapshot: the
-	// store must now hold the manifest layout and zero legacy keys.
-	for _, it := range want {
-		h.Insert(it.Key, it.Value)
-	}
-	if err := q.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	keys, err := store.List("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var manifests, parts int
-	for _, k := range keys {
-		switch {
-		case strings.HasPrefix(k, "snap/"):
-			t.Fatalf("legacy key %s survived the upgrade snapshot", k)
-		case strings.HasPrefix(k, "manifest/"):
-			manifests++
-		case strings.HasPrefix(k, "part/"):
-			parts++
-		}
-	}
-	if manifests != 1 || parts != 1 {
-		t.Fatalf("after upgrade snapshot: %d manifests, %d parts (want 1, 1); keys: %v",
-			manifests, parts, keys)
-	}
-	if err := q.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// And the upgraded store recovers.
-	r, err := durable.Wrap(newInner(t, "klsm128"), durable.Options{Store: store})
-	if err != nil {
-		t.Fatalf("Wrap over upgraded store: %v", err)
-	}
-	rh := r.Handle()
-	n := 0
-	for {
-		if _, _, ok := rh.DeleteMin(); !ok {
-			break
-		}
-		n++
-	}
-	if n != len(want) {
-		t.Fatalf("upgraded store recovered %d items, want %d", n, len(want))
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, durable.ErrCorrupt) || !strings.Contains(err.Error(), key) {
+		t.Fatalf("Wrap over a v1 snap/ key: %v, want ErrCorrupt naming %s", err, key)
 	}
 }

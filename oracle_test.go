@@ -35,7 +35,7 @@ func TestStrictQueuesMatchOracleProperty(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			if err := quick.Check(func(seed uint64, opsRaw []uint16) bool {
-				q, err := New(name, 1)
+				q, err := NewQueue(name, Options{Threads: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,7 +87,7 @@ func TestRelaxedQueuesBoundedProperty(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			if err := quick.Check(func(seed uint64) bool {
-				q, err := New(tc.name, 1)
+				q, err := NewQueue(tc.name, Options{Threads: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,7 +145,7 @@ func TestValuesPreservedProperty(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			q, err := New(name, 2)
+			q, err := NewQueue(name, Options{Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
